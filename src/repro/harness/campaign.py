@@ -18,9 +18,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms import get_algorithm
 from repro.errors import ReproError
-from repro.sim.executor import run_programs
+from repro.harness.pipeline import build, run_pipeline
 from repro.sim.params import NetworkParams
 from repro.topology.analysis import aapc_load
 from repro.topology.builder import random_tree
@@ -128,15 +127,14 @@ def run_campaign(
         times: Dict[str, float] = {}
         phases = 0
         for name in algorithms:
-            algorithm = get_algorithm(name)
-            programs = algorithm.build_programs(topo, msize)
-            schedule = getattr(algorithm, "last_schedule", None)
+            built = build(topo, name, msize)
+            schedule = getattr(built.algorithm, "last_schedule", None)
             if name == "generated" and schedule is not None:
                 phases = schedule.num_phases
             samples = [
-                run_programs(
-                    topo, programs, msize, params.with_seed(rep)
-                ).completion_time
+                run_pipeline(
+                    topo, name, msize, params.with_seed(rep), built=built
+                ).result.completion_time
                 for rep in range(repetitions)
             ]
             times[name] = sum(samples) / len(samples)

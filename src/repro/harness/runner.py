@@ -7,7 +7,6 @@ seeded repetition, and returns a queryable :class:`ExperimentResult`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,8 +18,9 @@ from repro.harness.metrics import (
     completion_stats,
     summarize_links,
 )
+from repro.harness.pipeline import build, run_pipeline
 from repro.harness.workloads import Workload
-from repro.sim.executor import run_programs
+from repro.obs.phase_audit import VERDICT_UNOBSERVED
 from repro.sim.params import NetworkParams
 from repro.topology.graph import Topology
 from repro.topology.paths import PathOracle
@@ -58,6 +58,9 @@ class MeasurementPoint:
     #: phase?  None when the cell ran without telemetry or with no
     #: observable flows (pure-eager sizes).
     phase_audit: Optional[Dict[str, object]] = None
+    #: ``{analysis: message}`` for each analysis that failed on the
+    #: instrumented repetition (None when all succeeded).
+    analysis_errors: Optional[Dict[str, str]] = None
 
     @property
     def dominant_component(self) -> Optional[str]:
@@ -129,9 +132,9 @@ def run_experiment(
     """Simulate every (algorithm, workload) cell and average repetitions.
 
     With *telemetry* on, the first repetition of each cell runs under
-    the flight recorder and its link-level summary is attached to the
-    cell's :class:`MeasurementPoint` (one instrumented run per cell
-    keeps the grid cost flat).
+    the flight recorder and its link-level summary, gap attribution and
+    phase audit are attached to the cell's :class:`MeasurementPoint`
+    (one instrumented run per cell keeps the grid cost flat).
 
     *faults* (a :class:`~repro.faults.plan.FaultPlan`) injects the same
     chaos into every repetition; a stalled cell raises
@@ -145,37 +148,37 @@ def run_experiment(
     n = topology.num_machines
     for workload in workloads:
         for algorithm in algorithms:
-            t0 = time.perf_counter()
-            programs = algorithm.build_programs(topology, workload.msize)
-            build_time = time.perf_counter() - t0
+            built = build(topology, algorithm, workload.msize)
             samples: List[float] = []
             peak_flows = 0
             max_mux = 0
-            link_stats: Optional[LinkSummary] = None
-            attribution: Optional[Dict[str, object]] = None
-            phase_audit: Optional[Dict[str, object]] = None
+            instrumented: Dict[str, object] = {}
             for i, seed in enumerate(workload.seeds()):
-                run = run_programs(
-                    topology,
-                    programs,
-                    workload.msize,
-                    params.with_seed(seed),
-                    oracle=oracle,
+                outcome = run_pipeline(
+                    topology, algorithm, workload.msize,
+                    params.with_seed(seed), built=built, oracle=oracle,
                     check_delivery=check_delivery,
-                    telemetry=telemetry and i == 0,
-                    faults=faults,
-                    max_trace_records=max_trace_records,
+                    telemetry=telemetry and i == 0, faults=faults,
+                    resilient=False, trace_cap=max_trace_records,
+                    audit=True, attribution=True,
                 )
+                run = outcome.result
                 samples.append(run.completion_time)
                 peak_flows = max(peak_flows, run.peak_concurrent_flows)
                 max_mux = max(max_mux, run.max_edge_multiplexing)
                 if run.telemetry is not None:
-                    link_stats = summarize_links(run.telemetry)
-                    attribution = _attribute(
-                        run.telemetry, topology, algorithm.name
-                    )
-                    phase_audit = _audit(
-                        run.telemetry, topology, programs, oracle
+                    audit = outcome.audit
+                    instrumented = dict(
+                        link_stats=summarize_links(run.telemetry),
+                        attribution=outcome.attribution_summary(),
+                        # A run with no observable flows (eager sizes)
+                        # has nothing to audit: the harness reads it as
+                        # no audit.
+                        phase_audit=audit.summary_dict() if audit and any(
+                            r.verdict != VERDICT_UNOBSERVED
+                            for r in audit.rows
+                        ) else None,
+                        analysis_errors=outcome.analysis_errors or None,
                     )
             mean, lo, hi = completion_stats(samples)
             result.points.append(
@@ -192,52 +195,8 @@ def run_experiment(
                     ),
                     peak_concurrent_flows=peak_flows,
                     max_edge_multiplexing=max_mux,
-                    link_stats=link_stats,
-                    build_time=build_time,
-                    attribution=attribution,
-                    phase_audit=phase_audit,
+                    build_time=built.seconds,
+                    **instrumented,
                 )
             )
     return result
-
-
-def _attribute(telemetry, topology, algorithm) -> Optional[Dict[str, object]]:
-    """Gap attribution for one instrumented run, sans the path (compact).
-
-    Best-effort: a telemetry bundle that cannot be analyzed (dropped
-    trace records, missing run context from an older caller) yields
-    ``None`` rather than failing the whole grid.
-    """
-    from repro.obs.attribution import explain_telemetry
-
-    try:
-        report = explain_telemetry(telemetry, topology, algorithm=algorithm)
-    except ReproError:
-        return None
-    return {
-        k: v for k, v in report.as_dict().items() if k != "critical_path"
-    }
-
-
-def _audit(
-    telemetry, topology, programs, oracle
-) -> Optional[Dict[str, object]]:
-    """Phase-observatory summary for one instrumented run.
-
-    Best-effort like :func:`_attribute`: a run whose flows cannot be
-    joined against the static model (telemetry truncated by a trace
-    cap, no rendezvous flows at eager sizes) yields ``None``.
-    """
-    from repro.obs.phase_audit import audit_phases
-
-    from repro.obs.phase_audit import VERDICT_UNOBSERVED
-
-    try:
-        report = audit_phases(telemetry, topology, programs, oracle=oracle)
-    except ReproError:
-        return None
-    if not report.num_phases or all(
-        r.verdict == VERDICT_UNOBSERVED for r in report.rows
-    ):
-        return None
-    return report.summary_dict()

@@ -346,10 +346,7 @@ def _sentinel_panel(
     """Regression-sentinel anomalies on the group's run axis."""
     from repro.obs.sentinel import run_sentinel
 
-    try:
-        report = run_sentinel(records)
-    except Exception:
-        return ""
+    report = run_sentinel(records)
     index_of = {r.run_id: i for i, r in enumerate(records)}
     anomalies = [
         a for a in report.anomalies if a.point.run_id in index_of

@@ -115,6 +115,9 @@ class AlgorithmEntry:
     #: check, kept per run so the dashboard can heatmap phase health
     #: over history.
     phase_audit: Optional[Dict[str, object]] = None
+    #: ``{analysis: message}`` for each requested analysis that failed
+    #: on this run (absent when every analysis succeeded).
+    analysis_errors: Optional[Dict[str, str]] = None
 
     def as_dict(self) -> Dict[str, object]:
         data: Dict[str, object] = {
@@ -136,6 +139,8 @@ class AlgorithmEntry:
             data["stats"] = self.stats
         if self.phase_audit is not None:
             data["phase_audit"] = self.phase_audit
+        if self.analysis_errors:
+            data["analysis_errors"] = self.analysis_errors
         return data
 
     @classmethod
@@ -153,6 +158,7 @@ class AlgorithmEntry:
             attribution=data.get("attribution"),
             stats=stats,
             phase_audit=data.get("phase_audit"),
+            analysis_errors=data.get("analysis_errors"),
         )
 
 

@@ -108,6 +108,9 @@ class RunTelemetry:
     #: the Perfetto exporter renders it as a per-phase divergence
     #: track and ``metrics_dict`` embeds it.
     phase_audit: Optional[Dict[str, object]] = None
+    #: ``{analysis: message}`` for each analysis a caller requested on
+    #: this run that failed; ``metrics_dict`` embeds it when non-empty.
+    analysis_errors: Dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def phase_windows(self) -> Dict[int, Tuple[float, float]]:
@@ -188,6 +191,8 @@ class RunTelemetry:
                 "disruptions": len(self.sync_disruptions),
                 "stats": dict(self.fault_stats),
             }
+        if self.analysis_errors:
+            data["analysis_errors"] = dict(self.analysis_errors)
         return data
 
     # ------------------------------------------------------------------
