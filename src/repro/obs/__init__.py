@@ -72,7 +72,6 @@ _EXPORTS = {
     "LinkReport": "repro.obs.link_metrics",
     "FlowRecord": "repro.obs.link_metrics",
     "PhaseHealth": "repro.obs.diagnostics",
-    "CriticalStep": "repro.obs.diagnostics",
     "ScheduleHealth": "repro.obs.diagnostics",
     "schedule_health": "repro.obs.diagnostics",
     "perfetto_trace": "repro.obs.perfetto",
@@ -164,7 +163,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         LinkOccupancy,
     )
     from repro.obs.diagnostics import (
-        CriticalStep,
         PhaseHealth,
         ScheduleHealth,
         schedule_health,

@@ -15,9 +15,9 @@ one: what actually happened on the simulated wire.
   overlap (pipelining depth; see
   :func:`repro.sim.gantt.phase_overlap_fraction` for why overlap alone
   is not contention).
-* **Critical path** — per phase, the rank whose last activity closes
-  the phase; the chain of these bottleneck ranks is the run's
-  phase-granularity critical path.
+* **Bottleneck rank** — per phase, the rank whose last activity closes
+  the phase (the run's exact critical path is
+  :mod:`repro.obs.causal`'s, which ``explain`` reports).
 * **Contention-free verified** — the empirical verdict from observed
   link occupancy (via :class:`repro.obs.link_metrics.LinkMetricsReport`):
   ``True`` iff no directed link ever carried two concurrent flows.
@@ -64,24 +64,12 @@ class PhaseHealth:
         }
 
 
-@dataclass(frozen=True)
-class CriticalStep:
-    """One step of the phase-granularity critical path."""
-
-    phase: int
-    rank: str
-    end: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"phase": self.phase, "rank": self.rank, "end_ms": self.end * 1e3}
-
-
 @dataclass
 class ScheduleHealth:
-    """Aggregate diagnostics for one run."""
+    """Aggregate diagnostics for one run: its trace-side phase table."""
 
+    #: One row per phase-tagged phase, in phase order.
     phases: List[PhaseHealth]
-    critical_path: List[CriticalStep]
     overlap_fraction: float
     #: Empirical contention verdict; None when no link data was collected.
     contention_free_verified: Optional[bool]
@@ -103,23 +91,7 @@ class ScheduleHealth:
             "max_phase_drift_ms": self.max_drift * 1e3,
             "phase_overlap_fraction": self.overlap_fraction,
             "phases": [p.as_dict() for p in self.phases],
-            "critical_path": [s.as_dict() for s in self.critical_path],
         }
-
-
-def _sync_waits_by_phase(trace: Trace) -> Dict[int, float]:
-    """Pair sync_wait/sync_recv records and total the wait per phase."""
-    pending: Dict[Tuple[str, str, int], float] = {}
-    waits: Dict[int, float] = {}
-    for r in trace.records:
-        key = (r.rank, r.peer, r.tag)
-        if r.what == "sync_wait":
-            pending[key] = r.time
-        elif r.what == "sync_recv":
-            posted = pending.pop(key, None)
-            if posted is not None:
-                waits[r.phase] = waits.get(r.phase, 0.0) + (r.time - posted)
-    return waits
 
 
 def schedule_health(
@@ -127,42 +99,55 @@ def schedule_health(
 ) -> ScheduleHealth:
     """Compute :class:`ScheduleHealth` from a phase-tagged trace.
 
-    Works on any trace; runs without phase tags yield empty phase lists.
-    Pass the run's link report to fill the empirical contention verdict.
+    One pass over the records.  Works on any trace; runs without phase
+    tags yield empty phase lists.  Pass the run's link report to fill
+    the empirical contention verdict.
     """
-    from repro.sim.gantt import phase_overlap_fraction
-
-    sync_waits = _sync_waits_by_phase(trace)
+    pending: Dict[Tuple[str, str, int], float] = {}
+    sync_waits: Dict[int, float] = {}
+    spans: Dict[int, Tuple[float, float]] = {}
+    closers: Dict[int, str] = {}
+    firsts: Dict[int, Dict[str, float]] = {}
+    for r in trace.records:
+        if r.what == "sync_wait":
+            pending[(r.rank, r.peer, r.tag)] = r.time
+        elif r.what == "sync_recv":
+            posted = pending.pop((r.rank, r.peer, r.tag), None)
+            if posted is not None:
+                wait = r.time - posted
+                sync_waits[r.phase] = sync_waits.get(r.phase, 0.0) + wait
+        if r.phase < 0:
+            continue
+        lo, hi = spans.get(r.phase, (r.time, r.time))
+        # Ties go to the later record: the last one at the max time.
+        if r.time >= hi:
+            hi = r.time
+            closers[r.phase] = r.rank
+        spans[r.phase] = (min(lo, r.time), hi)
+        ranks = firsts.setdefault(r.phase, {})
+        if r.time < ranks.get(r.rank, float("inf")):
+            ranks[r.rank] = r.time
     phases: List[PhaseHealth] = []
-    critical: List[CriticalStep] = []
-    for phase in sorted(trace.phase_spans()):
-        records = trace.of_phase(phase)
-        start = min(r.time for r in records)
-        end = max(r.time for r in records)
-        first_by_rank: Dict[str, float] = {}
-        last: Optional[Tuple[float, str]] = None
-        for r in records:
-            if r.rank not in first_by_rank or r.time < first_by_rank[r.rank]:
-                first_by_rank[r.rank] = r.time
-            if last is None or r.time >= last[0]:
-                last = (r.time, r.rank)
-        firsts = list(first_by_rank.values())
-        drift = max(firsts) - min(firsts) if len(firsts) > 1 else 0.0
-        assert last is not None  # records is non-empty
+    for phase in sorted(spans):
+        start, end = spans[phase]
+        entries = firsts[phase].values()
         phases.append(
             PhaseHealth(
                 phase=phase,
                 start=start,
                 end=end,
                 sync_wait=sync_waits.get(phase, 0.0),
-                drift=drift,
-                bottleneck_rank=last[1],
+                drift=max(entries) - min(entries),
+                bottleneck_rank=closers[phase],
             )
         )
-        critical.append(CriticalStep(phase=phase, rank=last[1], end=end))
+    overlapping = sum(
+        1 for a, b in zip(phases, phases[1:]) if b.start < a.end
+    )
     return ScheduleHealth(
         phases=phases,
-        critical_path=critical,
-        overlap_fraction=phase_overlap_fraction(trace),
+        overlap_fraction=(
+            overlapping / (len(phases) - 1) if len(phases) > 1 else 0.0
+        ),
         contention_free_verified=(links.contention_free if links is not None else None),
     )

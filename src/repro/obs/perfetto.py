@@ -2,7 +2,9 @@
 
 Produces the classic Trace Event Format (loadable by both
 ``chrome://tracing`` and https://ui.perfetto.dev): a JSON object with a
-``traceEvents`` array.  The run is laid out as four "processes":
+``traceEvents`` array.  The run is laid out as up to eight
+"processes": the first four always, the others when the run carries
+their data:
 
 * **ranks** (pid 1) — one thread per rank.  Every trace record becomes
   an instant event; ``sync_wait → sync_recv`` pairs become duration
@@ -25,12 +27,6 @@ Produces the classic Trace Event Format (loadable by both
   duration slice per declared fault window (open-ended windows are
   clipped to the completion time) plus an instant per sync disruption /
   retransmit / abandonment, so chaos lines up with rank stalls.
-* **phase audit** (pid 8) — when a phase-observatory audit is attached
-  (``repro-aapc phases --trace-out`` / :func:`~repro.obs.phase_audit.
-  audit_phases`): one slice per audited phase over its observed window,
-  named by its verdict, with the predicted-vs-observed byte totals,
-  contention events and duration ratio in the args — the divergence
-  report laid out on the run's own timeline.
 * **critical path** (pid 7) — when a causal analysis is attached to the
   telemetry (``repro-aapc explain`` / ``explain_telemetry``): one lane
   per rank plus a *wire* lane, each critical-path segment a slice named
@@ -38,6 +34,12 @@ Produces the classic Trace Event Format (loadable by both
   together wherever it hops between ranks or onto the wire.  Following
   the arrows end to end reads off exactly where the completion time
   went.
+* **phase audit** (pid 8) — when a phase-observatory audit is attached
+  (``repro-aapc phases --trace-out`` / :func:`~repro.obs.phase_audit.
+  audit_phases`): one slice per audited phase over its observed window,
+  named by its verdict, with the predicted-vs-observed byte totals,
+  contention events and duration ratio in the args — the divergence
+  report laid out on the run's own timeline.
 
 Timestamps are microseconds (the format's native unit).
 """

@@ -46,6 +46,7 @@ from repro.topology.graph import Topology
 from repro.topology.paths import PathOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.diagnostics import ScheduleHealth
     from repro.obs.telemetry import RunTelemetry
 
 #: Version of the phase-audit report schema.  Bump on incompatible
@@ -199,12 +200,37 @@ class PhaseAuditReport:
     rows: List[PhaseDivergence]
     #: Static worst per-phase edge concurrency (analysis echo).
     max_phase_edge_concurrency: int = 0
+    #: Per phase with rows: (worst verdict, predicted bytes, observed
+    #: bytes, contention events), totalled from ``rows`` once.
+    phase_totals: Dict[int, Tuple[str, float, float, int]] = field(
+        init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        totals: Dict[int, Tuple[str, float, float, int]] = {}
+        for r in self.rows:
+            verdict, pred, obs, events = totals.get(
+                r.phase, (VERDICT_OK, 0.0, 0.0, 0)
+            )
+            if _VERDICT_RANK[r.verdict] < _VERDICT_RANK[verdict]:
+                verdict = r.verdict
+            totals[r.phase] = (
+                verdict,
+                pred + r.predicted_bytes,
+                obs + r.observed_bytes,
+                events + r.contention_events,
+            )
+        self.phase_totals = totals
 
     # ------------------------------------------------------------------
     @property
+    def phases(self) -> List[int]:
+        """Every audited phase (with a window or a row), in order."""
+        return sorted({w.phase for w in self.windows} | set(self.phase_totals))
+
+    @property
     def num_phases(self) -> int:
-        phases = {w.phase for w in self.windows} | {r.phase for r in self.rows}
-        return len(phases)
+        return len(self.phases)
 
     @property
     def violations(self) -> List[PhaseDivergence]:
@@ -295,24 +321,15 @@ class PhaseAuditReport:
         return problems
 
     # ------------------------------------------------------------------
-    def _phase_rows(self) -> Dict[int, List[PhaseDivergence]]:
-        grouped: Dict[int, List[PhaseDivergence]] = {}
-        for row in self.rows:
-            grouped.setdefault(row.phase, []).append(row)
-        return grouped
-
     def phase_verdict(self, phase: int) -> str:
-        rows = self._phase_rows().get(phase, [])
-        if not rows:
-            return VERDICT_OK
-        return min(rows, key=lambda r: _VERDICT_RANK[r.verdict]).verdict
+        """The worst verdict among *phase*'s rows (ok when it has none)."""
+        return self.phase_totals.get(phase, (VERDICT_OK,))[0]
 
     def summary(self) -> str:
         """Terminal table: one line per phase, then ranked divergences."""
         windows = {w.phase: w for w in self.windows}
         durations = {d.phase: d for d in self.durations}
-        grouped = self._phase_rows()
-        phases = sorted(set(windows) | set(grouped))
+        phases = self.phases
         lines = [
             f"phase audit: {len(phases)} phases, "
             f"{len({r.edge for r in self.rows})} links, "
@@ -323,12 +340,11 @@ class PhaseAuditReport:
             f"{'contn':>5s} {'dur x':>6s}  verdict",
         ]
         for phase in phases:
-            rows = grouped.get(phase, [])
+            verdict, pred, obs, contention = self.phase_totals.get(
+                phase, (VERDICT_OK, 0.0, 0.0, 0)
+            )
             win = windows.get(phase)
             dur = durations.get(phase)
-            pred = sum(r.predicted_bytes for r in rows)
-            obs = sum(r.observed_bytes for r in rows)
-            contention = sum(r.contention_events for r in rows)
             ratio = obs / pred if pred > 0 else float("inf")
             ratio_s = f"{ratio:6.2f}" if ratio != float("inf") else "   inf"
             dur_s = (
@@ -347,8 +363,7 @@ class PhaseAuditReport:
             )
             lines.append(
                 f"{phase:>5d} {win_s} {skew_s} {pred:>12.0f} {obs:>12.0f} "
-                f"{ratio_s} {contention:>5d} {dur_s}  "
-                f"{self.phase_verdict(phase)}"
+                f"{ratio_s} {contention:>5d} {dur_s}  {verdict}"
             )
         flagged = self.divergences
         if flagged:
@@ -401,10 +416,7 @@ class PhaseAuditReport:
             "clean": self.clean,
             "phase_verdicts": {
                 str(phase): self.phase_verdict(phase)
-                for phase in sorted(
-                    {w.phase for w in self.windows}
-                    | {r.phase for r in self.rows}
-                )
+                for phase in self.phases
             },
         }
 
@@ -464,8 +476,11 @@ def _observed_by_phase_edge(
     return observed_bytes, observed_flows, contention
 
 
-def _phase_windows(flows, trace) -> List[PhaseWindow]:
-    """Observed window + per-rank entry offsets, per effective phase."""
+def _phase_windows(flows, health: "ScheduleHealth") -> List[PhaseWindow]:
+    """Observed window + per-rank entry offsets, per effective phase.
+
+    Flow lifetimes set the window; *health*'s trace spans widen it.
+    """
     bounds: Dict[int, Tuple[float, float]] = {}
     first_by_rank: Dict[int, Dict[str, float]] = {}
     for flow in flows:
@@ -475,11 +490,10 @@ def _phase_windows(flows, trace) -> List[PhaseWindow]:
         prev = ranks.get(flow.src)
         if prev is None or flow.start < prev:
             ranks[flow.src] = flow.start
-    if trace is not None:
-        for phase, (lo, hi) in trace.phase_spans().items():
-            if phase in bounds:
-                blo, bhi = bounds[phase]
-                bounds[phase] = (min(blo, lo), max(bhi, hi))
+    for span in health.phases:
+        if span.phase in bounds:
+            blo, bhi = bounds[span.phase]
+            bounds[span.phase] = (min(blo, span.start), max(bhi, span.end))
     windows = []
     for phase in sorted(bounds):
         lo, hi = bounds[phase]
@@ -532,21 +546,46 @@ def audit_phases(
     if analysis is None:
         analysis = analyze_programs(topology, programs, msize, oracle=oracle)
 
-    # Predicted per (phase, edge): message counts and byte loads.
+    # Duration bound per phase: the busiest link's serial transfer time
+    # at modelled efficiency — what a contention-free phase should take,
+    # give or take handshakes and sync.
+    efficiency = getattr(telemetry.params, "base_efficiency", 1.0) or 1.0
+    overrides = telemetry.link_bandwidths or {}
+
+    def _line_rate(edge: Edge) -> float:
+        reverse = overrides.get((edge[1], edge[0]), telemetry.bandwidth)
+        return overrides.get(edge, reverse)
+
+    # Predicted per (phase, edge): message counts and byte loads, and
+    # per phase the duration bound from its busiest link.
     predicted_bytes: Dict[Tuple[int, Edge], float] = {}
     predicted_msgs: Dict[Tuple[int, Edge], int] = {}
+    bounds: Dict[int, float] = {}
     for phase, msgs in analysis.phase_messages.items():
+        loads: Dict[Edge, float] = {}
         for src, dst, nbytes in msgs:
             for edge in oracle.path_edges(src, dst):
+                loads[edge] = loads.get(edge, 0.0) + nbytes
                 key = (phase, edge)
-                predicted_bytes[key] = predicted_bytes.get(key, 0.0) + nbytes
                 predicted_msgs[key] = predicted_msgs.get(key, 0) + 1
+        if not loads:
+            continue
+        bounds[phase] = max(
+            (
+                nbytes / (_line_rate(edge) * efficiency)
+                for edge, nbytes in loads.items()
+                if _line_rate(edge) > 0
+            ),
+            default=0.0,
+        )
+        for edge, nbytes in loads.items():
+            predicted_bytes[(phase, edge)] = nbytes
 
     flows = telemetry.links.flows
     observed_bytes, observed_flows, contention = _observed_by_phase_edge(
         flows
     )
-    windows = _phase_windows(flows, telemetry.trace)
+    windows = _phase_windows(flows, telemetry.health)
 
     # The run carried no wire flows at all (pure-eager message size):
     # nothing to compare, so predicted rows become "unobserved" rather
@@ -604,42 +643,15 @@ def audit_phases(
         )
     )
 
-    # Duration bound per phase: the busiest link's serial transfer time
-    # at modelled efficiency — what a contention-free phase should take,
-    # give or take handshakes and sync.
-    params = telemetry.params
-    efficiency = getattr(params, "base_efficiency", 1.0) or 1.0
-    line_rates: Dict[Edge, float] = {}
-
-    def _line_rate(edge: Edge) -> float:
-        if edge not in line_rates:
-            rate = telemetry.bandwidth
-            overrides = telemetry.link_bandwidths or {}
-            rate = overrides.get(
-                edge, overrides.get((edge[1], edge[0]), rate)
-            )
-            line_rates[edge] = rate
-        return line_rates[edge]
-
-    window_map = {w.phase: w for w in windows}
-    durations: List[PhaseDuration] = []
-    phases = sorted(
-        {phase for phase, _ in predicted_bytes} | set(window_map)
-    )
-    for phase in phases:
-        bound = max(
-            (
-                nbytes / (_line_rate(edge) * efficiency)
-                for (p, edge), nbytes in predicted_bytes.items()
-                if p == phase and _line_rate(edge) > 0
-            ),
-            default=0.0,
+    spans = {w.phase: w.span for w in windows}
+    durations = [
+        PhaseDuration(
+            phase=phase,
+            predicted=bounds.get(phase, 0.0),
+            observed=spans.get(phase, 0.0),
         )
-        win = window_map.get(phase)
-        observed = win.span if win is not None else 0.0
-        durations.append(
-            PhaseDuration(phase=phase, predicted=bound, observed=observed)
-        )
+        for phase in sorted(set(bounds) | set(spans))
+    ]
 
     return PhaseAuditReport(
         msize=msize,

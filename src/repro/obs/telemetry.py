@@ -33,8 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version of the ``--metrics-out`` report schema.  Bump on
 #: incompatible change; :func:`load_metrics` rejects reports from the
-#: future with a clear error.
-METRICS_SCHEMA_VERSION = 1
+#: future with a clear error.  Schema 2 dropped
+#: ``schedule_health.critical_path``; schema-1 reports still load.
+METRICS_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -111,27 +112,6 @@ class RunTelemetry:
     #: ``{analysis: message}`` for each analysis a caller requested on
     #: this run that failed; ``metrics_dict`` embeds it when non-empty.
     analysis_errors: Dict[str, str] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def phase_windows(self) -> Dict[int, Tuple[float, float]]:
-        """Observed ``(start, end)`` per effective phase.
-
-        The union of flow lifetimes (authoritative — flows are never
-        capped) and trace spans (which see sync and post events the
-        flows do not), keyed by the effective round the collector
-        stamps on :class:`~repro.obs.link_metrics.FlowRecord`.
-        """
-        windows: Dict[int, Tuple[float, float]] = {}
-        for flow in self.links.flows:
-            lo, hi = windows.get(flow.phase, (flow.start, flow.end))
-            windows[flow.phase] = (min(lo, flow.start), max(hi, flow.end))
-        for phase, (lo, hi) in self.trace.phase_spans().items():
-            if phase in windows:
-                wlo, whi = windows[phase]
-                windows[phase] = (min(wlo, lo), max(whi, hi))
-            else:
-                windows[phase] = (lo, hi)
-        return dict(sorted(windows.items()))
 
     @property
     def contention_free_verified(self) -> bool:

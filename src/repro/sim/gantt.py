@@ -18,6 +18,7 @@ Legend for the gantt cells (when several events share a bin the most
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
@@ -104,12 +105,12 @@ def phase_latency_table(trace: Trace) -> str:
     lines = [
         f"{'phase':>6} {'start ms':>10} {'end ms':>10} {'span ms':>9} {'ops':>6}"
     ]
+    ops = Counter(r.phase for r in trace.records)
     for phase in sorted(spans):
         lo, hi = spans[phase]
-        ops = len(trace.of_phase(phase))
         lines.append(
             f"{phase:>6} {seconds_to_ms(lo):>10.2f} {seconds_to_ms(hi):>10.2f} "
-            f"{seconds_to_ms(hi - lo):>9.2f} {ops:>6}"
+            f"{seconds_to_ms(hi - lo):>9.2f} {ops[phase]:>6}"
         )
     return "\n".join(lines)
 
@@ -123,13 +124,6 @@ def phase_overlap_fraction(trace: Trace) -> float:
     depth, not contention — for contention use the executor's
     ``max_edge_multiplexing`` (1 = contention-free execution).
     """
-    spans = trace.phase_spans()
-    phases = sorted(spans)
-    if len(phases) < 2:
-        return 0.0
-    overlapping = sum(
-        1
-        for a, b in zip(phases, phases[1:])
-        if spans[b][0] < spans[a][1]
-    )
-    return overlapping / (len(phases) - 1)
+    from repro.obs.diagnostics import schedule_health
+
+    return schedule_health(trace).overlap_fraction

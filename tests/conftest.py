@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.sim.params import NetworkParams
@@ -24,6 +26,23 @@ def _ledger_in_tmp(tmp_path, monkeypatch):
     suite would pollute the developer's ``~/.cache/repro-aapc``.
     """
     monkeypatch.setenv("REPRO_AAPC_LEDGER_DIR", str(tmp_path / "ledger"))
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Undo any logging setup a test leaves on the ``repro`` logger.
+
+    A CLI run with ``-v`` attaches a handler and turns ``propagate``
+    off, which would hide later tests' records from ``caplog``.
+    """
+    logger = logging.getLogger("repro")
+    level, handlers, propagate = (
+        logger.level, list(logger.handlers), logger.propagate
+    )
+    yield
+    logger.setLevel(level)
+    logger.handlers[:] = handlers
+    logger.propagate = propagate
 
 
 @pytest.fixture

@@ -113,6 +113,20 @@ class TestMetricsLoading:
         with pytest.raises(ReproError, match="upgrade repro"):
             loads_metrics(report)
 
+    def test_schema_1_loads_and_schema_3_is_rejected(self):
+        # Schema 2 dropped schedule_health.critical_path; older reports
+        # that still carry it load unchanged.
+        old = {
+            "schema": 1,
+            "schedule_health": {
+                "phases": [],
+                "critical_path": [{"phase": 0, "rank": "n0", "end_ms": 1.0}],
+            },
+        }
+        assert loads_metrics(json.dumps(old)) == old
+        with pytest.raises(ReproError, match="schema 3"):
+            loads_metrics(json.dumps({"schema": 3}))
+
     def test_invalid_schema_rejected(self):
         with pytest.raises(ReproError, match="invalid schema"):
             loads_metrics(json.dumps({"schema": "two"}))

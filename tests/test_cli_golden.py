@@ -241,25 +241,6 @@ def _repo_cwd(monkeypatch):
     monkeypatch.chdir(REPO)
 
 
-@pytest.fixture(autouse=True)
-def _quiet_repro_logger():
-    """Start from a library-default ``repro`` logger: an earlier ``-v``
-    run leaves its handler (and INFO level) on the logger tree, which
-    would otherwise write into this case's stderr capture."""
-    import logging
-
-    root = logging.getLogger("repro")
-    saved = root.level, list(root.handlers), root.propagate
-    for handler in saved[1]:
-        if getattr(handler, "_repro_cli", False):
-            root.removeHandler(handler)
-    root.setLevel(logging.NOTSET)
-    root.propagate = True
-    yield
-    level, root.handlers[:], root.propagate = saved
-    root.setLevel(level)
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_golden(case, tmp_path, capsys):
     got = capture(case, tmp_path / "run", capsys)
