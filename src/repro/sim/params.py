@@ -113,9 +113,10 @@ class NetworkParams:
     rank_speed_overrides: tuple = ()
     #: RNG seed for all noise streams (runs are deterministic per seed).
     seed: int = 0
-    #: Max-min rate solver: ``"incremental"`` (numpy-vectorized,
-    #: re-solves only the dirty connected component of the flow/link
-    #: incidence graph) or ``"reference"`` (the original full
+    #: Max-min rate solver: ``"incremental"`` (re-solves only the
+    #: dirty connected component of the flow/link incidence graph, with
+    #: an array waterfill for large components and slot-array flow
+    #: state for dense flow sets) or ``"reference"`` (the original full
     #: progressive-filling re-solve at every rate-change instant).  The
     #: two are rate-for-rate equivalent — the differential suite in
     #: ``tests/sim/test_allocator_differential.py`` enforces it — so

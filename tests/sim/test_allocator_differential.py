@@ -1,10 +1,10 @@
 """Differential lockdown of the incremental max-min allocator.
 
-The incremental, numpy-vectorized allocator must be *rate-for-rate
-indistinguishable* from the reference progressive filler — same per-flow
-completion times, same completion order, same delivered bytes — on
-every workload the simulator can produce.  This suite replays seeded
-random scenarios through both allocators and compares:
+The incremental allocator must be *rate-for-rate indistinguishable*
+from the reference progressive filler — same per-flow completion times,
+same completion order, same delivered bytes — on every workload the
+simulator can produce.  This suite replays seeded random scenarios
+through both allocators and compares:
 
 * **Network level** (``TestNetworkScenarios``): random topologies x
   random flow sets (random sources, destinations, sizes, start times),
@@ -13,6 +13,9 @@ random scenarios through both allocators and compares:
   topology x algorithm x message-size grids, with all noise sources
   active, checking completion time, per-rank finish times and byte
   ledgers.
+* **Dense flow sets** (``test_dense_executor_scenarios_match``): LAM on
+  16 ranks (240 flows at once), where the incremental side keeps flow
+  state in the network's slot arrays and runs the array waterfill.
 * **Fault boundaries** (``TestFaultScenarios``): fault plans with
   mid-run capacity changes (degradations, outages, recoveries) forcing
   full re-solves at fault boundaries, plus stragglers and crashes.
@@ -38,7 +41,7 @@ from repro.errors import StallError
 from repro.faults.plan import FaultPlan, HostStraggler, LinkFault, RankCrash
 from repro.sim.engine import Engine
 from repro.sim.executor import run_programs
-from repro.sim.network import FlowNetwork
+from repro.sim.network import DENSE_MIN_FLOWS, FlowNetwork
 from repro.sim.params import NetworkParams
 from repro.topology.builder import (
     chain_of_switches,
@@ -223,6 +226,28 @@ def test_executor_scenarios_match(topo_name, algo, msize):
 
 
 # ---------------------------------------------------------------------------
+# Dense scenarios: every message in flight at once, above the flow count
+# at which the incremental side switches to its slot arrays.
+# ---------------------------------------------------------------------------
+
+_DENSE_TOPOLOGIES = {
+    "star16": lambda: star_of_switches([4, 4, 4, 4]),
+    "chain16": lambda: chain_of_switches([4, 4, 4, 4]),
+}
+_DENSE_SIZES = (8192, 65536)
+
+
+@pytest.mark.parametrize("topo_name", sorted(_DENSE_TOPOLOGIES))
+@pytest.mark.parametrize("msize", _DENSE_SIZES)
+def test_dense_executor_scenarios_match(topo_name, msize):
+    topo = _DENSE_TOPOLOGIES[topo_name]()
+    n = topo.num_machines
+    assert n * (n - 1) >= DENSE_MIN_FLOWS
+    seed = zlib.crc32(f"dense/{topo_name}/{msize}".encode()) % 997
+    _compare_runs(topo, "lam", msize, seed=seed)
+
+
+# ---------------------------------------------------------------------------
 # Fault-boundary scenarios: mid-run capacity changes force full re-solves.
 # ---------------------------------------------------------------------------
 
@@ -293,6 +318,7 @@ def test_scenario_coverage_floor():
     expected = (
         len(NETWORK_SEEDS)
         + len(_EXEC_TOPOLOGIES) * len(_EXEC_ALGOS) * len(_EXEC_SIZES)
+        + len(_DENSE_TOPOLOGIES) * len(_DENSE_SIZES)
         + len(_FAULT_ALGOS) * len(_FAULT_KINDS) * 2
     )
     assert expected >= 200
