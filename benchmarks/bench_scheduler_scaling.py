@@ -9,9 +9,9 @@ holds throughout.
 The ``slow``-marked tests extend the sweep to the *simulator's* engine
 loop at cluster scale: a 128-rank AAPC comparing the incremental
 allocator against the reference progressive filler (the two must agree
-rate-for-rate; the incremental one must be >= 5x faster), a 48-rank LAM
-run (every message in flight at once: the dense regime), and a
-1024-rank AAPC that must finish inside a hard wall-clock budget.  The
+rate-for-rate; the incremental one must be >= 5x faster), 48- and
+64-rank LAM runs (every message in flight at once: the dense regime),
+and a 1024-rank AAPC that must finish inside a hard wall-clock budget.  The
 scale points land in a run-ledger record under ``out/ledger/`` with
 ``sim_wall_ms`` set, so CI gates the wall-clock trend with::
 
@@ -45,7 +45,7 @@ AAPC_SEED = 7
 #: the committed baseline gates the finer-grained trend; these only
 #: catch catastrophic (order-of-magnitude) blowups even on slow CI.
 BUDGET_128_S = 90.0
-BUDGET_LAM_48_S = 120.0
+BUDGET_LAM_S = 120.0
 BUDGET_1024_S = 240.0
 
 #: Acceptance floor for the incremental allocator at 128 ranks.
@@ -169,35 +169,36 @@ def test_allocator_speedup_128rank(emit):
 
 
 @pytest.mark.slow
-def test_dense_lam_48rank_budget(emit):
-    """48-rank LAM: all 2,256 messages post at once — the dense regime.
+@pytest.mark.parametrize("n", [48, 64])
+def test_dense_lam_budget(emit, n):
+    """n-rank LAM: all n(n-1) messages post at once — the dense regime.
 
-    Settles re-solve hundreds to thousands of flows at once, so this is
-    the scale point for the slot-array flow state and the array
-    waterfill.  Its
-    ``lam-48`` entry lets the committed baseline gate both the wall
-    clock and the simulated completion time.
+    Settles re-solve thousands of flows at once, so these are the scale
+    points for the wide settles, the slot-array flow state and the
+    array waterfill.  Their ``lam-<n>`` entries let the committed
+    baseline gate both the wall clock and the simulated completion
+    time.
     """
-    topo = cluster(48)
+    topo = cluster(n)
     result, wall = _timed_aapc(topo, "lam", "incremental")
-    _LEDGER_ENTRIES["lam-48"] = AlgorithmEntry(
+    _LEDGER_ENTRIES[f"lam-{n}"] = AlgorithmEntry(
         completion_time_ms=result.completion_time * 1e3,
         sim_wall_ms=wall * 1e3,
     )
     emit(
-        "dense_lam_48",
+        f"dense_lam_{n}",
         "\n".join(
             [
-                "48-rank LAM AAPC, 64 KiB, incremental allocator:",
+                f"{n}-rank LAM AAPC, 64 KiB, incremental allocator:",
                 "",
-                f"  engine-loop wall clock: {wall:8.2f}s  (budget {BUDGET_LAM_48_S:.0f}s)",
+                f"  engine-loop wall clock: {wall:8.2f}s  (budget {BUDGET_LAM_S:.0f}s)",
                 f"  simulated completion:   {result.completion_time * 1e3:8.2f} ms",
                 f"  peak concurrent flows:  {result.peak_concurrent_flows:>8d}",
             ]
         ),
     )
-    assert wall <= BUDGET_LAM_48_S, (
-        f"48-rank LAM engine loop took {wall:.1f}s > {BUDGET_LAM_48_S:.0f}s budget"
+    assert wall <= BUDGET_LAM_S, (
+        f"{n}-rank LAM engine loop took {wall:.1f}s > {BUDGET_LAM_S:.0f}s budget"
     )
 
 

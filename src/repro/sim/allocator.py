@@ -15,11 +15,16 @@ the active flow set (see :mod:`repro.sim.network` for the model):
   exactly over these components — flows in different components share
   no edge, so the filling rounds of one component never touch the
   state of another — hence untouched flows keep their previous rates
-  unchanged.  Single-flow components (every component of a
-  contention-free schedule) take an allocation-free fast path, small
-  components run the reference filler restricted to the component, and
-  larger ones run an array waterfill over the network's slot × edge
-  incidence (:class:`~repro.sim.network.FlowSlots`).
+  unchanged.  Whether traffic is dense is the network's decision, not
+  the allocator's: at fault boundaries and on wide settles
+  (:mod:`repro.sim.network`) it marks every edge dirty with
+  :meth:`~IncrementalAllocator.note_all_dirty`, and the scope is the
+  whole flow set with no closure walk.  Single-flow components (every
+  component of a contention-free schedule) take an allocation-free
+  fast path, small components run the reference filler restricted to
+  the component, and larger ones run an array waterfill over the
+  network's slot × edge incidence
+  (:class:`~repro.sim.network.FlowSlots`).
 
 Every filler performs the reference's float operations in the
 reference's order, so all of them give the same rates bit for bit on
@@ -69,8 +74,8 @@ class BaseAllocator:
 
     def __init__(self, network: "FlowNetwork") -> None:
         self.net = network
-        #: Solves that covered the whole flow set (fault boundaries,
-        #: and every reference solve).
+        #: Scopes that took the whole flow set (fault boundaries, wide
+        #: settles, and every reference solve).
         self.full_solves = 0
 
     # -- dirty tracking ------------------------------------------------
@@ -189,11 +194,6 @@ class IncrementalAllocator(BaseAllocator):
         # hash-randomized per process; dicts are deterministic).
         self._dirty_edges: Dict[Edge, None] = {}
         self._all_dirty = False
-        # Dense-workload detector: consecutive closures that spanned
-        # (nearly) the whole flow set, and a probe countdown for
-        # noticing when the workload thins out again.
-        self._dense_streak = 0
-        self._dense_probe = 0
 
     # -- dirty tracking ------------------------------------------------
     def note_edges_dirty(self, edges: Iterable[Edge]) -> None:
@@ -222,20 +222,6 @@ class IncrementalAllocator(BaseAllocator):
         self._dirty_edges = {}
         edge_flows = net._edge_flows
         flows = net._flows
-        # Dense workloads (unscheduled all-at-once patterns like LAM)
-        # put every flow in one giant component: walking the closure
-        # just to rediscover "everything" costs more than the solve.
-        # After two consecutive full-cover closures, skip the walk and
-        # take the whole flow set — a superset of the dirty closure is
-        # still exact (the extra flows re-solve to their current
-        # rates).  A real walk runs every 16th settle to notice when
-        # the workload thins out.
-        if self._dense_streak >= 2:
-            self._dense_probe += 1
-            if self._dense_probe < 16:
-                scope.update(flows)
-                return
-            self._dense_probe = 0
         # Transitive closure over the flow/edge incidence graph: every
         # flow sharing an edge (directly or through intermediaries)
         # with a changed edge may see its bottleneck shift; nothing
@@ -258,10 +244,6 @@ class IncrementalAllocator(BaseAllocator):
                     if e2 not in seen:
                         seen.add(e2)
                         stack.append(e2)
-        if len(scope) * 8 >= nflows * 7:
-            self._dense_streak += 1
-        else:
-            self._dense_streak = 0
 
     def solve(
         self, scope: Dict[int, "Flow"], now: float

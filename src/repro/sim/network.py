@@ -24,25 +24,35 @@ algorithm launches ~1000 flows at once.  Per-flow byte accounting is
 lazy — a flow's ``remaining`` is caught up only when its own rate
 changes, at its completion deadline, or via :meth:`sync_progress`.
 
+This module alone decides whether traffic is dense.  After two
+consecutive settles whose closure held at least :data:`DENSE_MIN_FLOWS`
+flows, with at least that many active, the network is *wide* — LAM's
+all-at-once posting, where every closure is nearly the whole flow set:
+each settle marks every edge dirty and re-solves the whole flow set
+with no closure walk.  It stays wide until fewer than
+:data:`DENSE_MIN_FLOWS` flows are active.  Contention-free traffic
+never is: its closures are single flows.
+
 Per-flow state lives in one of two places:
 
 * **Python floats on the** :class:`Flow` (sparse traffic, the common
   case): completions come from a deadline heap whose entries carry the
   flow's generation counter, so superseded entries are skipped lazily.
-* **Arrays indexed by the flow's slot** (:class:`FlowSlots`) once two
-  consecutive settles each re-solved at least :data:`DENSE_MIN_FLOWS`
-  flows, until two consecutive settles re-solve fewer — dense flow
-  sets, like LAM's all-at-once posting, where every settle re-solves
-  hundreds of flows.  Advancing bytes, finding due flows, the waterfill
-  and the deadline recompute are then array operations; ``Flow.rate``
-  is still kept current.
+* **Arrays indexed by the flow's slot** (:class:`FlowSlots`) while the
+  network is wide and its allocator solves slots
+  (:attr:`~repro.sim.allocator.BaseAllocator.solves_slots`).  Advancing
+  bytes, finding due flows, the waterfill and the deadline recompute
+  are then array operations; ``Flow.rate`` is still kept current.
 
 Every active flow owns a slot either way: its row of the slot × edge
 incidence matrix (columns in first-seen edge order) feeds the array
-waterfill, which also solves large components in the sparse mode.
-Both modes perform the same float operations in the same order, so the
-switch never changes a result.  Completed :class:`Flow` objects are
-pooled and reused by later :meth:`start_flow` calls (disable with
+waterfill, which also solves large components of sparse traffic.  Both
+representations perform the same float operations in the same order,
+so on the same scopes they give the same results bit for bit.  The
+scope itself does matter at rounding level: it decides which flows a
+settle advances, which moves byte ledgers and times by ulps, within the
+allocator differential suite's 1e-9.  Completed :class:`Flow` objects
+are pooled and reused by later :meth:`start_flow` calls (disable with
 ``NetworkParams.pool_flows``); a completed flow's fields stay readable
 until the object is reused.
 """
@@ -73,11 +83,11 @@ _EPSILON_BYTES = 1e-6
 #: not equal ``d`` in floats); deadlines this close are due.
 _EPSILON_TIME = 1e-12
 
-#: Settle scope (flows re-solved at once) from which per-flow state
-#: moves into the slot arrays.  Measured crossover, LAM on star-of-4
-#: trees at 8 KB and 64 KB: per-flow floats and slot arrays break even
-#: between 90 and 132 flows, and the arrays win from 182 on (see
-#: CHANGES.md for the sweep).
+#: Closure size (flows re-solved at once) from which settles go wide
+#: and per-flow state moves into the slot arrays.  Measured crossover,
+#: LAM on star-of-4 trees at 8 KB and 64 KB: per-flow floats and slot
+#: arrays break even between 90 and 132 flows, and the arrays win from
+#: 182 on (see CHANGES.md for the sweep).
 DENSE_MIN_FLOWS = 128
 
 _SLOT = attrgetter("slot")
@@ -275,8 +285,8 @@ class FlowNetwork:
         #: True while the slot arrays, not the Flow objects, hold the
         #: per-flow state (see the module docstring).
         self._dense = False
-        #: Consecutive settles whose scope was wide (> 0: that many at
-        #: least DENSE_MIN_FLOWS flows) or narrow (< 0).
+        #: Consecutive settles whose scope held at least
+        #: DENSE_MIN_FLOWS flows.
         self._scope_run = 0
         #: Dense-mode byte ledger per column (the pad column absorbs
         #: padding), and which columns already have an ``edge_bytes`` key.
@@ -505,19 +515,13 @@ class FlowNetwork:
             return
         now = self.engine.now
         alloc = self._allocator
-        run = self._scope_run
-        dense = self._dense
-        if dense:
-            if run <= -2 or len(self._flows) < DENSE_MIN_FLOWS:
+        wide = self._scope_run >= 2 and len(self._flows) >= DENSE_MIN_FLOWS
+        dense = wide and alloc.solves_slots
+        if dense != self._dense:
+            if dense:
+                self._enter_dense()
+            else:
                 self._leave_dense()
-                dense = False
-        elif (
-            run >= 2
-            and len(self._flows) >= DENSE_MIN_FLOWS
-            and alloc.solves_slots
-        ):
-            self._enter_dense()
-            dense = True
         full_before = alloc.full_solves
         scope: Dict[int, Flow] = {}
         slots = None
@@ -525,6 +529,8 @@ class FlowNetwork:
             self._dirty = False
             if self._m_resolves is not None:
                 self._m_resolves.value += 1
+            if wide:
+                alloc.note_all_dirty()
             alloc.collect_scope(scope)
             due: List[Flow] = []
             if dense:
@@ -547,9 +553,9 @@ class FlowNetwork:
                     scope.pop(flow.fid, None)
                     self._complete_flow(flow)
         if len(scope) >= DENSE_MIN_FLOWS:
-            self._scope_run = max(run, 0) + 1
+            self._scope_run += 1
         else:
-            self._scope_run = min(run, 0) - 1
+            self._scope_run = 0
         if self._m_inflight is not None:
             self._m_inflight.value = len(self._flows)
         if not scope:
@@ -563,9 +569,8 @@ class FlowNetwork:
             self._m_waterfill.observe(iterations)
             self._m_saturated.observe(saturated)
             self._m_component.observe(len(scope))
-            full_delta = alloc.full_solves - full_before
-            if full_delta:
-                self._m_full.value += full_delta
+            if alloc.full_solves != full_before:
+                self._m_full.value += 1
         if not dense:
             self._requeue(scope, now)
         self._arm_timer()

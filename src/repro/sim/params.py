@@ -120,7 +120,7 @@ class NetworkParams:
     #: progressive-filling re-solve at every rate-change instant).  The
     #: two are rate-for-rate equivalent — the differential suite in
     #: ``tests/sim/test_allocator_differential.py`` enforces it — so
-    #: this knob only trades solver speed, never results.
+    #: this knob only trades solver speed; results agree to 1e-9.
     allocator: str = "incremental"
     #: Recycle completed :class:`~repro.sim.network.Flow` objects for
     #: later transfers (kills per-flow allocation on the hot path).  A

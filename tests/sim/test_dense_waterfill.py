@@ -10,7 +10,9 @@ must reproduce the python filler and the per-flow float path exactly —
 * every array solve is checked against
   :meth:`IncrementalAllocator._solve_python` on the same scope;
 * whole runs with the array paths on and off agree on every simulated
-  time and byte ledger, with and without fault boundaries.
+  time and byte ledger, with and without fault boundaries.  Both arms
+  run the same dense floor, so they re-solve the same scopes and differ
+  only in where per-flow state lives and which filler rates a scope.
 
 The random-tree case is the ``campaign`` CLI golden's LAM cell, which a
 filler that freezes exactly-tied edges together moves by an ulp.
@@ -92,8 +94,8 @@ def test_array_waterfill_equals_python_filler(case, checked_solves, monkeypatch)
 
 
 def _python_only(monkeypatch):
-    """Per-flow floats and the python filler everywhere."""
-    monkeypatch.setattr(network_mod, "DENSE_MIN_FLOWS", 10**9)
+    """Per-flow floats and the python filler everywhere (same scopes)."""
+    monkeypatch.setattr(IncrementalAllocator, "solves_slots", False)
     monkeypatch.setattr(allocator_mod, "_PYTHON_MAX_FLOWS", 10**9)
 
 
@@ -110,10 +112,9 @@ def _assert_identical(a, b):
 def test_array_paths_are_bit_identical_end_to_end(case, monkeypatch):
     make_topo, msize, dense_floor = CASES[case]
     topo = make_topo()
-    with monkeypatch.context() as m:
-        if dense_floor is not None:
-            m.setattr(network_mod, "DENSE_MIN_FLOWS", dense_floor)
-        arrays = _run_lam(topo, msize)
+    if dense_floor is not None:
+        monkeypatch.setattr(network_mod, "DENSE_MIN_FLOWS", dense_floor)
+    arrays = _run_lam(topo, msize)
     _python_only(monkeypatch)
     _assert_identical(arrays, _run_lam(topo, msize))
 
@@ -129,9 +130,8 @@ def test_dense_mode_across_fault_boundaries(failed, monkeypatch):
     fault = LinkFault(link=trunk, start=2e-3, end=8e-3, factor=0.3, failed=failed)
     plan = FaultPlan(name="dense", seed=3, link_faults=[fault])
     plan.validate_against(topo)
-    with monkeypatch.context() as m:
-        m.setattr(network_mod, "DENSE_MIN_FLOWS", 32)
-        arrays = _run_lam(topo, 8 * 1024, faults=plan)
+    monkeypatch.setattr(network_mod, "DENSE_MIN_FLOWS", 32)
+    arrays = _run_lam(topo, 8 * 1024, faults=plan)
     _python_only(monkeypatch)
     _assert_identical(arrays, _run_lam(topo, 8 * 1024, faults=plan))
 

@@ -2,11 +2,20 @@
 
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.errors import SimulationError
+from repro.obs.metrics_registry import MetricsRegistry
 from repro.sim.engine import Engine
+from repro.sim.executor import run_programs
 from repro.sim.network import FlowNetwork
 from repro.sim.params import NetworkParams
-from repro.topology.builder import chain_of_switches, single_switch
+from repro.topology.builder import (
+    chain_of_switches,
+    paper_example_cluster,
+    random_tree,
+    single_switch,
+    star_of_switches,
+)
 
 
 def make_net(topo=None, **kwargs):
@@ -253,3 +262,41 @@ class TestSameInstantBatching:
         assert [s[0] for s in seen] == ["a", "b"]
         assert seen[0][1] != seen[1][1]
         assert net.flow_pool_reuses >= 1
+
+
+
+def _run_with_registry(topo, algorithm):
+    msize = 64 * 1024
+    programs = get_algorithm(algorithm).build_programs(topo, msize)
+    registry = MetricsRegistry()
+    with registry.activate():
+        run_programs(topo, programs, msize, NetworkParams(seed=0))
+    return registry
+
+
+class TestScopePolicy:
+    """The network alone decides when a settle re-solves the whole set.
+
+    The paper's routine is contention-free, so every closure is one
+    flow and no settle goes wide; LAM posts every message at once, so
+    its settles do.
+    """
+
+    @pytest.mark.parametrize(
+        "make_topo, flows",
+        [
+            (paper_example_cluster, 30),
+            (lambda: random_tree(32, 4, seed=0), 992),
+        ],
+        ids=["paper-example", "random-tree-32"],
+    )
+    def test_scheduled_routine_solves_one_flow_at_a_time(self, make_topo, flows):
+        registry = _run_with_registry(make_topo(), "generated")
+        component = registry.histogram("network.component_flows")
+        assert component.max == 1
+        assert component.count == flows
+        assert registry.get("network.full_resolves") == 0
+
+    def test_lam_settles_go_wide(self):
+        registry = _run_with_registry(star_of_switches([4, 4, 4, 4]), "lam")
+        assert registry.get("network.full_resolves") > 0
