@@ -46,6 +46,7 @@ from typing import Dict, List, Optional
 
 from repro import __version__
 from repro.algorithms import available_algorithms, get_algorithm
+from repro.artifacts import write_json
 from repro.errors import ReproError
 from repro.core.codegen import generate_c_routine
 from repro.core.program import build_programs
@@ -512,9 +513,7 @@ def _cmd_phases(args: argparse.Namespace) -> int:
     )
     print(report.summary())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json_out, report.as_dict())
         print(f"wrote phase-audit report {args.json_out}")
     if args.trace_out:
         print(f"wrote Perfetto trace {args.trace_out} "
@@ -665,11 +664,9 @@ def _cmd_repro(args: argparse.Namespace) -> int:
             }
             for p in result.points
         ]
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"experiment": experiment.name, "cells": cells}, fh, indent=2
-            )
-            fh.write("\n")
+        write_json(
+            args.metrics_out, {"experiment": experiment.name, "cells": cells}
+        )
         print(f"wrote metrics {args.metrics_out}")
     print(completion_table(result, reference=experiment.reference))
     print()
@@ -860,9 +857,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             )
 
     if args.diagnosis_out:
-        with open(args.diagnosis_out, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.diagnosis_out, artifact)
         print(f"wrote diagnosis artifact {args.diagnosis_out}")
 
     _append_ledger(args, "chaos", args.topology, topo, msize, params, entries)
@@ -1057,9 +1052,7 @@ def _cmd_report_sentinel(args: argparse.Namespace) -> int:
         return 2
     print(report.summary())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json_out, report.as_dict())
         print(f"wrote sentinel report {args.json_out}")
     if args.fail_on_anomaly and report.regressions:
         print(
@@ -1098,7 +1091,7 @@ def _shared_opts(*names: str) -> argparse.ArgumentParser:
         "seed": ("--seed", dict(type=int, default=0)),
         "allocator": ("--allocator", dict(
             default="incremental", choices=list(ALLOCATORS),
-            help="max-min rate solver (identical results; speed only)",
+            help="max-min rate solver (the two agree to 1e-9)",
         )),
         "trace_cap": ("--trace-cap", dict(
             type=int, default=None, metavar="N",

@@ -135,13 +135,6 @@ class PhasedSchedule:
     def locals_in(self, p: int) -> List[ScheduledMessage]:
         return [m for m in self._phases[p] if m.kind is MessageKind.LOCAL]
 
-    def messages_of_rank(self, machine: str) -> List[ScheduledMessage]:
-        """Messages sent by *machine*, in phase order."""
-        return sorted(
-            (m for m in self._by_message.values() if m.src == machine),
-            key=lambda m: m.phase,
-        )
-
     # ------------------------------------------------------------------
     def render(self) -> str:
         """ASCII table in the style of the paper's Table 4."""

@@ -3,19 +3,19 @@
 The generated schedule is a topology-specific artifact worth shipping
 alongside the generated C routine — external tools (visualisers, other
 runtimes) can consume it without running the scheduler.  The format is
-versioned JSON pairing the topology text with the phase list.
+a schema-versioned artifact document (see :mod:`repro.artifacts`)
+pairing the topology text with the phase list.
 """
 
 from __future__ import annotations
 
 import io
-import json
 from typing import IO, Union
 
+from repro.artifacts import check_schema, dumps_json, read_json, write_json
 from repro.core.pattern import Message
 from repro.core.schedule import MessageKind, PhasedSchedule
 from repro.core.root import RootInfo, Subtree
-from repro.errors import ReproError
 from repro.topology.serialization import dumps_topology, loads_topology
 
 SCHEMA_VERSION = 1
@@ -53,11 +53,7 @@ def schedule_to_dict(schedule: PhasedSchedule) -> dict:
 
 def schedule_from_dict(data: dict) -> PhasedSchedule:
     """Inverse of :func:`schedule_to_dict`."""
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ReproError(
-            f"unsupported schedule schema {data.get('schema')!r}; "
-            f"expected {SCHEMA_VERSION}"
-        )
+    check_schema(data, "schedule file", SCHEMA_VERSION, None)
     topology = loads_topology(data["topology"])
     root_info = None
     if "root" in data:
@@ -81,29 +77,15 @@ def schedule_from_dict(data: dict) -> PhasedSchedule:
 
 
 def save_schedule(schedule: PhasedSchedule, sink: Union[str, IO[str]]) -> None:
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8") as fh:
-            save_schedule(schedule, fh)
-            return
-    json.dump(schedule_to_dict(schedule), sink, indent=2, sort_keys=True)
-    sink.write("\n")
+    write_json(sink, schedule_to_dict(schedule))
 
 
 def load_schedule(source: Union[str, IO[str]]) -> PhasedSchedule:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_schedule(fh)
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"corrupt schedule file: {exc}") from exc
-    return schedule_from_dict(data)
+    return schedule_from_dict(read_json(source, "schedule file"))
 
 
 def dumps_schedule(schedule: PhasedSchedule) -> str:
-    buf = io.StringIO()
-    save_schedule(schedule, buf)
-    return buf.getvalue()
+    return dumps_json(schedule_to_dict(schedule))
 
 
 def loads_schedule(text: str) -> PhasedSchedule:

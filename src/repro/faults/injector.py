@@ -60,15 +60,6 @@ class FaultStats:
             "ranks_crashed": self.ranks_crashed,
         }
 
-    @property
-    def total_disruptions(self) -> int:
-        return (
-            self.syncs_dropped
-            + self.syncs_delayed
-            + self.syncs_duplicated
-            + self.syncs_link_dropped
-        )
-
 
 class FaultInjector:
     """Seeded oracle for "what is broken at time *t*?"."""
@@ -177,15 +168,6 @@ class FaultInjector:
         if not faults:
             return 1.0
         return min(1.0, *(lf.bandwidth_factor for lf in faults))
-
-    def path_factor_floor(self, src: str, dst: str) -> float:
-        """Worst capacity multiplier along the src→dst path."""
-        if self.oracle is None or not self._link_faults:
-            return 1.0
-        return min(
-            (self.link_factor_floor(e) for e in self.oracle.path_edges(src, dst)),
-            default=1.0,
-        )
 
     def path_control_blocked_forever(
         self, src: str, dst: str

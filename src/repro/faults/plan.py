@@ -34,7 +34,8 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Tuple, Union
 
-from repro.errors import FaultPlanError
+from repro.artifacts import read_json, write_json
+from repro.errors import FaultPlanError, ReproError
 
 #: End of an open-ended window ("until the end of the run").
 FOREVER = float("inf")
@@ -305,9 +306,7 @@ class FaultPlan:
         }
 
     def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.as_dict())
 
     def fingerprint(self) -> str:
         """Stable short content hash (recorded in the run ledger)."""
@@ -383,7 +382,7 @@ def load_fault_plan(source: Union[str, IO[str]]) -> FaultPlan:
                 f"cannot read fault plan {source!r}: {exc}"
             ) from exc
     try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise FaultPlanError(f"corrupt fault plan JSON: {exc}") from exc
+        data = read_json(source, "fault plan")
+    except ReproError as exc:
+        raise FaultPlanError(str(exc)) from exc
     return FaultPlan.from_dict(data)

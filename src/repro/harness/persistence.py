@@ -3,18 +3,17 @@
 Reproduction runs are cheap but not free; persisting
 :class:`~repro.harness.runner.ExperimentResult` grids lets the
 benchmarks, notebooks and regression checks compare against a stored
-baseline without re-simulating.  The format is stable, human-readable
-JSON with a schema version.
+baseline without re-simulating.  The format is a schema-versioned
+artifact document (see :mod:`repro.artifacts`).
 """
 
 from __future__ import annotations
 
 import io
-import json
 from typing import IO, Union
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.artifacts import check_schema, dumps_json, read_json, write_json
 from repro.harness.runner import ExperimentResult, MeasurementPoint
 from repro.sim.params import NetworkParams
 from repro.topology.graph import Topology
@@ -55,19 +54,10 @@ def result_to_dict(result: ExperimentResult) -> dict:
 
 def result_from_dict(data: dict) -> ExperimentResult:
     """Inverse of :func:`result_to_dict`."""
-    schema = data.get("schema")
-    if isinstance(schema, int) and schema > SCHEMA_VERSION:
-        raise ReproError(
-            f"result file uses schema {schema}, but this version of repro "
-            f"({__version__}) reads up to schema {SCHEMA_VERSION}; "
-            "upgrade repro to read it"
-        )
-    if schema != SCHEMA_VERSION:
-        raise ReproError(
-            f"unsupported result schema {schema!r}; "
-            f"expected {SCHEMA_VERSION}"
-        )
+    check_schema(data, "result file", SCHEMA_VERSION, None)
     params_data = dict(data["params"])
+    # Retired field: every network pools completed flows now.
+    params_data.pop("pool_flows", None)
     if "rank_speed_overrides" in params_data:
         # JSON has no tuples; restore the dataclass's canonical form.
         params_data["rank_speed_overrides"] = tuple(
@@ -104,30 +94,16 @@ def result_from_dict(data: dict) -> ExperimentResult:
 
 def save_result(result: ExperimentResult, sink: Union[str, IO[str]]) -> None:
     """Write a result grid to a JSON file or stream."""
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8") as fh:
-            save_result(result, fh)
-            return
-    json.dump(result_to_dict(result), sink, indent=2, sort_keys=True)
-    sink.write("\n")
+    write_json(sink, result_to_dict(result))
 
 
 def load_result(source: Union[str, IO[str]]) -> ExperimentResult:
     """Read a result grid from a JSON file or stream."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_result(fh)
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"corrupt result file: {exc}") from exc
-    return result_from_dict(data)
+    return result_from_dict(read_json(source, "result file"))
 
 
 def dumps_result(result: ExperimentResult) -> str:
-    buf = io.StringIO()
-    save_result(result, buf)
-    return buf.getvalue()
+    return dumps_json(result_to_dict(result))
 
 
 def loads_result(text: str) -> ExperimentResult:

@@ -46,11 +46,11 @@ newer schema with :class:`~repro.errors.ReproError`.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro._version import __version__
+from repro.artifacts import check_schema, read_json, write_json
 from repro.errors import ReproError
 from repro.obs.causal import CausalAnalysis, analyze
 from repro.topology.analysis import weighted_best_case_completion_time
@@ -137,9 +137,7 @@ class AttributionReport:
         return data
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.as_dict())
 
     # ------------------------------------------------------------------
     def summary(self, top: int = 8) -> str:
@@ -285,26 +283,13 @@ def load_attribution(source: Union[str, IO[str]]) -> Dict[str, object]:
     corrupt JSON and for reports written by a newer repro whose schema
     this version cannot read.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_attribution(fh)
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"corrupt attribution report: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ReproError("attribution report must be a JSON object")
-    schema = data.get("schema", ATTRIBUTION_SCHEMA_VERSION)
-    if not isinstance(schema, int) or schema < 1:
-        raise ReproError(
-            f"attribution report has invalid schema {schema!r}"
-        )
-    if schema > ATTRIBUTION_SCHEMA_VERSION:
-        raise ReproError(
-            f"attribution report uses schema {schema}, but this version "
-            f"of repro ({__version__}) reads up to schema "
-            f"{ATTRIBUTION_SCHEMA_VERSION}; upgrade repro to read it"
-        )
+    data = read_json(source, "attribution report")
+    check_schema(
+        data,
+        "attribution report",
+        ATTRIBUTION_SCHEMA_VERSION,
+        ATTRIBUTION_SCHEMA_VERSION,
+    )
     return data
 
 

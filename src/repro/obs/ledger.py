@@ -19,7 +19,7 @@ append-only, mergeable, trivially greppable.
 from __future__ import annotations
 
 import hashlib
-import json
+import io
 import logging
 import os
 import subprocess
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro._version import __version__
+from repro.artifacts import check_schema, dumps_json, read_json
 from repro.errors import ReproError
 from repro.obs.metrics_registry import validate_stats
 from repro.units import format_duration_ms
@@ -250,17 +251,9 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
-        schema = data.get("schema")
-        if not isinstance(schema, int) or schema < 1:
-            raise ReproError(
-                f"ledger record has invalid schema marker {schema!r}"
-            )
-        if schema > LEDGER_SCHEMA_VERSION:
-            raise ReproError(
-                f"ledger record uses schema {schema}, but this version of "
-                f"repro ({__version__}) reads up to schema "
-                f"{LEDGER_SCHEMA_VERSION}; upgrade repro to read it"
-            )
+        schema = check_schema(
+            data, "ledger record", LEDGER_SCHEMA_VERSION, None
+        )
         topo = data.get("topology") or {}
         return cls(
             run_id=str(data["run_id"]),
@@ -308,9 +301,7 @@ class RunLedger:
         records rather than torn fragments.
         """
         os.makedirs(self.directory, exist_ok=True)
-        payload = (
-            json.dumps(record.as_dict(), sort_keys=True) + "\n"
-        ).encode("utf-8")
+        payload = dumps_json(record.as_dict()).encode("utf-8")
         fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
@@ -356,28 +347,21 @@ class RunLedger:
         out: List[RunRecord] = []
         for i, (lineno, line) in enumerate(numbered):
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
+                data = read_json(
+                    io.StringIO(line), f"ledger line {lineno} in {self.path}"
+                )
+            except ReproError as exc:
                 if i == len(numbered) - 1:
                     logger.warning(
-                        "ledger: skipping corrupt trailing line %d in %s "
+                        "ledger: skipping corrupt trailing line "
                         "(truncated append?): %s",
-                        lineno,
-                        self.path,
                         exc,
                     )
                     continue
                 if skip_unreadable:
-                    logger.warning(
-                        "ledger: skipping corrupt line %d in %s: %s",
-                        lineno,
-                        self.path,
-                        exc,
-                    )
+                    logger.warning("ledger: skipping %s", exc)
                     continue
-                raise ReproError(
-                    f"corrupt ledger line {lineno} in {self.path}: {exc}"
-                ) from exc
+                raise
             try:
                 out.append(RunRecord.from_dict(data))
             except ReproError as exc:
@@ -441,19 +425,11 @@ def load_baseline(ref: str, ledger: Optional[RunLedger] = None) -> RunRecord:
     ``{"algorithms": {...}}`` mapping (the committed-baseline form).
     """
     if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ReproError(f"corrupt baseline file {ref}: {exc}") from exc
+        what = f"baseline file {ref}"
+        data = read_json(ref, what)
         if "run_id" in data:
             return RunRecord.from_dict(data)
-        schema = data.get("schema", LEDGER_SCHEMA_VERSION)
-        if isinstance(schema, int) and schema > LEDGER_SCHEMA_VERSION:
-            raise ReproError(
-                f"baseline {ref} uses schema {schema}; this repro reads "
-                f"up to {LEDGER_SCHEMA_VERSION}"
-            )
+        check_schema(data, what, LEDGER_SCHEMA_VERSION, LEDGER_SCHEMA_VERSION)
         return RunRecord(
             run_id=f"baseline:{os.path.basename(ref)}",
             timestamp="",

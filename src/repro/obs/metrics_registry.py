@@ -42,12 +42,12 @@ Usage::
 from __future__ import annotations
 
 import io
-import json
 import time
 from dataclasses import dataclass, field
 from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro._version import __version__
+from repro.artifacts import check_schema, read_json, write_json
 from repro.errors import ReproError
 
 #: Version of the metrics-snapshot (``stats``) envelope.  Bump on
@@ -338,26 +338,16 @@ def validate_stats(data: Dict[str, object]) -> None:
     """Reject a ``stats`` envelope written by a newer repro."""
     if not isinstance(data, dict):
         raise ReproError("metrics snapshot must be a JSON object")
-    schema = data.get("schema", STATS_SCHEMA_VERSION)
-    if not isinstance(schema, int) or schema < 1:
-        raise ReproError(f"metrics snapshot has invalid schema {schema!r}")
-    if schema > STATS_SCHEMA_VERSION:
-        raise ReproError(
-            f"metrics snapshot uses schema {schema}, but this version of "
-            f"repro ({__version__}) reads up to schema "
-            f"{STATS_SCHEMA_VERSION}; upgrade repro to read it"
-        )
+    check_schema(
+        data, "metrics snapshot", STATS_SCHEMA_VERSION, STATS_SCHEMA_VERSION
+    )
 
 
 def loads_snapshot(text: str) -> MetricsSnapshot:
     """Parse one JSON snapshot object, rejecting future schemas."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"corrupt metrics snapshot: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ReproError("metrics snapshot must be a JSON object")
-    return MetricsSnapshot.from_dict(data)
+    return MetricsSnapshot.from_dict(
+        read_json(io.StringIO(text), "metrics snapshot")
+    )
 
 
 def load_snapshots(source: Union[str, IO[str]]) -> List[MetricsSnapshot]:
@@ -387,8 +377,7 @@ class SnapshotWriter:
     def write(self, snapshot: MetricsSnapshot) -> None:
         if self._fh is None:
             raise ReproError(f"stats writer for {self.path!r} is closed")
-        json.dump(snapshot.as_dict(), self._fh, sort_keys=False)
-        self._fh.write("\n")
+        write_json(self._fh, snapshot.as_dict())
         self._fh.flush()
 
     def close(self) -> None:
@@ -458,8 +447,9 @@ def metric_timer(name: str):
 def iter_hot_metric_names() -> Iterator[str]:
     """The instrument names the built-in hot layers register.
 
-    Documentation and the dashboard's counter-trend view key off this
-    list; it is advisory (a registry may hold more).
+    ``docs/observability.md`` documents this list, and a test checks
+    that a plain run registers nothing outside it; it is advisory (a
+    registry may hold more).
     """
     yield from (
         "engine.events_total",

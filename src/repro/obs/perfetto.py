@@ -46,10 +46,10 @@ Timestamps are microseconds (the format's native unit).
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Dict, List
 
 from repro._version import __version__
+from repro.artifacts import write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import RunTelemetry
@@ -417,6 +417,4 @@ def perfetto_trace(telemetry: "RunTelemetry") -> dict:
 
 def write_perfetto(telemetry: "RunTelemetry", path: str) -> None:
     """Serialize the trace to *path* (open at ui.perfetto.dev)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(perfetto_trace(telemetry), fh)
-        fh.write("\n")
+    write_json(path, perfetto_trace(telemetry))

@@ -15,12 +15,11 @@ writes for ``--metrics-out``.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.artifacts import check_schema, read_json, write_json
 from repro.obs.bus import LinkOccupancy
 from repro.obs.diagnostics import ScheduleHealth
 from repro.obs.link_metrics import LinkMetricsReport
@@ -178,9 +177,7 @@ class RunTelemetry:
     # ------------------------------------------------------------------
     def write_metrics(self, path: str) -> None:
         """Write the JSON metrics report to *path*."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.metrics_dict(), fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        write_json(path, self.metrics_dict())
 
     def write_perfetto(self, path: str) -> None:
         """Write the Chrome/Perfetto ``trace_event`` JSON to *path*."""
@@ -222,24 +219,10 @@ def load_metrics(source: Union[str, IO[str]]) -> Dict[str, object]:
     written by a *newer* repro whose schema this version cannot read.
     Pre-versioning reports (no ``schema`` key) load as-is.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_metrics(fh)
-    try:
-        data = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"corrupt metrics report: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ReproError("metrics report must be a JSON object")
-    schema = data.get("schema", METRICS_SCHEMA_VERSION)
-    if not isinstance(schema, int) or schema < 1:
-        raise ReproError(f"metrics report has invalid schema {schema!r}")
-    if schema > METRICS_SCHEMA_VERSION:
-        raise ReproError(
-            f"metrics report uses schema {schema}, but this version of "
-            f"repro ({__version__}) reads up to schema "
-            f"{METRICS_SCHEMA_VERSION}; upgrade repro to read it"
-        )
+    data = read_json(source, "metrics report")
+    check_schema(
+        data, "metrics report", METRICS_SCHEMA_VERSION, METRICS_SCHEMA_VERSION
+    )
     return data
 
 

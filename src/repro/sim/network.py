@@ -52,9 +52,8 @@ so on the same scopes they give the same results bit for bit.  The
 scope itself does matter at rounding level: it decides which flows a
 settle advances, which moves byte ledgers and times by ulps, within the
 allocator differential suite's 1e-9.  Completed :class:`Flow` objects
-are pooled and reused by later :meth:`start_flow` calls (disable with
-``NetworkParams.pool_flows``); a completed flow's fields stay readable
-until the object is reused.
+are pooled and reused by later :meth:`start_flow` calls; a completed
+flow's fields stay readable until the object is reused.
 """
 
 from __future__ import annotations
@@ -301,7 +300,7 @@ class FlowNetwork:
         self._deadlines: List[Tuple[float, int, int]] = []
         self._timer_target = math.inf
         self._timer_epoch = 0
-        self._pool: Optional[List[Flow]] = [] if params.pool_flows else None
+        self._pool: List[Flow] = []
         # Statistics for the invariant tests and reports.
         self.bytes_injected = 0.0
         self.bytes_delivered = 0.0
@@ -849,8 +848,7 @@ class FlowNetwork:
                     LinkOccupancy(now, e, len(self._edge_flows[e]))
                 )
         flow.on_complete(flow)
-        if self._pool is not None:
-            # Only after the callback: the handle it received must not
-            # mutate under it.  The object stays readable (end_time,
-            # size, ...) until a later start_flow recycles it.
-            self._pool.append(flow)
+        # Only after the callback: the handle it received must not
+        # mutate under it.  The object stays readable (end_time, size,
+        # ...) until a later start_flow recycles it.
+        self._pool.append(flow)

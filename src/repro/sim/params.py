@@ -122,11 +122,6 @@ class NetworkParams:
     #: ``tests/sim/test_allocator_differential.py`` enforces it — so
     #: this knob only trades solver speed; results agree to 1e-9.
     allocator: str = "incremental"
-    #: Recycle completed :class:`~repro.sim.network.Flow` objects for
-    #: later transfers (kills per-flow allocation on the hot path).  A
-    #: completed flow handle stays readable until the pool reuses the
-    #: object; disable when holding handles across later starts.
-    pool_flows: bool = True
     #: Resilience protocol (active only under fault injection): a sync
     #: message unacknowledged after this long is retransmitted ...
     sync_retry_timeout: float = us(900)

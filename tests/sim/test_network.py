@@ -198,14 +198,12 @@ class TestSameInstantBatching:
     Regression lockdown for the deadline-heap generation check: a flow
     whose completion timer fires in the same engine batch as new flow
     starts (which re-solve rates and re-queue deadlines) must fire its
-    ``on_complete`` exactly once — with and without flow pooling, under
-    both allocators.
+    ``on_complete`` exactly once, under both allocators.
     """
 
     @pytest.mark.parametrize("allocator", ["incremental", "reference"])
-    @pytest.mark.parametrize("pool", [True, False])
-    def test_completion_coinciding_with_start(self, allocator, pool):
-        engine, net, params = make_net(allocator=allocator, pool_flows=pool)
+    def test_completion_coinciding_with_start(self, allocator):
+        engine, net, params = make_net(allocator=allocator)
         b = params.bandwidth
         calls = {}
 
@@ -251,7 +249,7 @@ class TestSameInstantBatching:
     def test_pooled_flow_handle_identity_not_confused(self):
         """A pooled Flow object reused at the completion instant keeps
         the two logical transfers' callbacks separate."""
-        engine, net, params = make_net(pool_flows=True)
+        engine, net, params = make_net()
         b = params.bandwidth
         seen = []
         net.start_flow("n0", "n1", b, lambda f: seen.append(("a", f.fid)))
